@@ -14,7 +14,7 @@
 //!
 //! A separate pass measures the decode cache's effect: first
 //! submissions of distinct programs (misses, each paying
-//! validate + decode + threaded-compile) versus resubmissions (hits,
+//! validate + decode) versus resubmissions (hits,
 //! straight to execution).
 //!
 //! Writes `BENCH_serve_throughput.json` at the repo root (atomically:

@@ -1,19 +1,17 @@
 //! Simulated instructions per second of the event-driven engine
-//! ([`Sim`]) at each **execution tier** (reference interpreter, decoded
-//! micro-ops, threaded code) versus the cycle-tick reference
-//! ([`SimRef`]), at the paper's 15 cores, over four workload shapes:
-//! flat reduction (`plus-reduce-array`), nested loops
-//! (`floyd-warshall-small`), irregular fork-join recursion
-//! (`mergesort-uniform`), and an escape-time flat loop with
-//! data-dependent trip counts (`mandelbrot`). Writes
-//! `BENCH_sim_throughput.json` at the repo root (atomically: temp file
-//! in the same directory, then rename) with per-tier throughput
-//! columns, the threaded-over-decoded speedup, the decoded tier's
-//! throughput relative to the pre-trace baseline (the
-//! zero-cost-when-off check), the slowdown with structured tracing
-//! recording, and a scheduling-policy sweep (`heartbeat` vs `eager` vs
-//! `never` promotion on the flat and nested shapes) tracking what each
-//! policy costs the simulator hot path.
+//! ([`Sim`]) at each **execution tier** (reference interpreter, fast
+//! micro-op tier) versus the cycle-tick reference ([`SimRef`]), at the
+//! paper's 15 cores, over four workload shapes: flat reduction
+//! (`plus-reduce-array`), nested loops (`floyd-warshall-small`),
+//! irregular fork-join recursion (`mergesort-uniform`), and an
+//! escape-time flat loop with data-dependent trip counts
+//! (`mandelbrot`). Writes `BENCH_sim_throughput.json` at the repo root
+//! (atomically: temp file in the same directory, then rename) with
+//! per-tier throughput columns, the fast-over-reference speedup, the
+//! slowdown with structured tracing recording, and a scheduling-policy
+//! sweep (`heartbeat` vs `eager` vs `never` promotion on the flat and
+//! nested shapes) tracking what each policy costs the simulator hot
+//! path.
 //!
 //! The channel extension adds a `streaming` row group: per-tier
 //! throughput on the channel/detach pipeline workloads together with
@@ -23,13 +21,16 @@
 //!
 //! With `TPAL_BENCH_SMOKE=1` the bench runs each workload once per
 //! engine *per tier* and asserts they all agree — a CI-sized canary for
-//! decode/threaded-compile regressions (panics, equivalence drift under
+//! decode regressions (panics, equivalence drift under
 //! `debug_assertions`) — including one streaming workload, so channel
 //! parks, wakes, and detached-task retirement stay schedule-identical
-//! across tiers in CI too — then times `plus-reduce-array` on the
-//! decoded and threaded tiers and fails if threaded is more than 10%
-//! slower than decoded, without criterion sampling and without touching
-//! the JSON record.
+//! across tiers in CI too. It then times the fast and reference tiers
+//! on every [`CASES`] and [`STREAMING_CASES`] row (min of 7 interleaved
+//! samples, each a batch of at least 20 ms of runs) and fails if the
+//! fast tier is slower than the reference tier on any row, or less than
+//! [`SMOKE_MIN_TEMPLATE_SPEEDUP`]× faster on the rows whose loops run as
+//! whole-loop templates — without criterion sampling and without
+//! touching the JSON record.
 
 use criterion::{criterion_group, Criterion, Throughput};
 
@@ -48,8 +49,9 @@ const CASES: [&str; 4] = [
 /// The streaming (channel + detach) cases: a pure 3-stage token
 /// pipeline, a channel-fed sparse matrix-vector product, and a
 /// tile-streamed escape-time render. These stay out of [`CASES`]: their
-/// rows carry channel-traffic counters and have no pre-trace baseline.
-/// Smoke mode runs the first on every tier.
+/// rows carry channel-traffic counters and no cycle-tick or traced
+/// columns. Smoke mode checks engine agreement on the first and times
+/// all of them.
 const STREAMING_CASES: [&str; 3] = ["pipeline-tokens", "spmv-stream", "mandelbrot-tiles"];
 
 /// The policy sweep: one flat and one nested shape, under the three
@@ -57,22 +59,18 @@ const STREAMING_CASES: [&str; 3] = ["pipeline-tokens", "spmv-stream", "mandelbro
 const SWEEP_CASES: [&str; 2] = ["plus-reduce-array", "floyd-warshall-small"];
 const SWEEP_POLICIES: [&str; 3] = ["heartbeat", "eager", "never"];
 
-/// Decoded-tier throughput (instr/s) recorded by the previous bench run
-/// on this machine, before the trace subsystem landed. The decoded
-/// column of the JSON record reports the relative change against these —
-/// the "tracing off costs nothing" regression check, now also guarding
-/// the decoded hot loop against slowdowns from the threaded-tier work.
-const BASELINE_INSTR_PER_SEC: [(&str, f64); 4] = [
-    ("plus-reduce-array", 186_024_958.0),
-    ("floyd-warshall-small", 212_638_181.0),
-    ("mergesort-uniform", 207_766_463.0),
-    ("mandelbrot", 180_049_343.0),
-];
+/// The rows whose hot loops the fast tier runs as whole-loop templates
+/// (reduce and guarded update).
+const TEMPLATE_CASES: [&str; 2] = ["plus-reduce-array", "floyd-warshall-small"];
 
-/// Smoke-mode regression gate: threaded may be at most this much slower
-/// than decoded on `plus-reduce-array` (it should be *faster*; the
-/// slack absorbs shared-runner noise).
-const SMOKE_MAX_THREADED_SLOWDOWN: f64 = 1.10;
+/// Smoke-mode regression gate: on [`TEMPLATE_CASES`] the fast tier must
+/// beat the reference tier by at least this factor — a template that
+/// silently stopped firing drops to plain dispatch speed, well below it.
+const SMOKE_MIN_TEMPLATE_SPEEDUP: f64 = 3.0;
+
+/// Smoke-mode timing: the shortest batch of runs one perf-gate sample
+/// times (20 ms), so each sample averages over many scheduler ticks.
+const SMOKE_SAMPLE_NS: u128 = 20_000_000;
 
 fn config() -> SimConfig {
     SimConfig::nautilus(15, 3_000)
@@ -101,9 +99,9 @@ macro_rules! run_engine {
 
 /// One engine-agreement pass over every case and every tier: each
 /// tier's stats must equal the cycle-tick reference's under the bench
-/// configuration. Then the smoke-sized perf gate: threaded must not be
-/// more than [`SMOKE_MAX_THREADED_SLOWDOWN`] slower than decoded on the
-/// flat reduction.
+/// configuration. Then the smoke-sized perf gate over every row: the
+/// fast tier must not be slower than the reference tier, and must be at
+/// least [`SMOKE_MIN_TEMPLATE_SPEEDUP`]× faster on [`TEMPLATE_CASES`].
 fn check_equivalence() {
     for name in CASES {
         let spec = workload(name)
@@ -146,45 +144,66 @@ fn check_equivalence() {
         ref_out.stats.instructions, ref_out.stats.chan_pushes, ref_out.stats.chan_blocks
     );
 
-    // Perf gate, min-of-7 interleaved (same estimator as the JSON
-    // record): a threaded-tier dispatch regression should not hide
-    // behind the equivalence checks.
-    let name = "plus-reduce-array";
-    let spec = workload(name)
-        .expect("known workload")
-        .sim_spec(Scale::Quick);
-    let lowered = lower(&spec.ir, Mode::Heartbeat).unwrap();
-    let mut decoded_ns = u128::MAX;
-    let mut threaded_ns = u128::MAX;
-    for _ in 0..7 {
-        let start = std::time::Instant::now();
-        std::hint::black_box(
-            run_engine!(Sim, lowered, spec, tier_config(ExecTier::Decoded))
-                .stats
-                .instructions,
+    // Perf gate, min-of-7 interleaved, over every row: a dispatch
+    // regression on any workload shape, or a loop template that stopped
+    // firing, should not hide behind the equivalence checks. Each sample
+    // times a batch of runs lasting at least `SMOKE_SAMPLE_NS`, so the
+    // millisecond-scale streaming rows are not decided by one scheduler
+    // hiccup; the reported spread tells a flake from a real regression.
+    for name in CASES.into_iter().chain(STREAMING_CASES) {
+        let spec = workload(name)
+            .expect("known workload")
+            .sim_spec(Scale::Quick);
+        let lowered = lower(&spec.ir, Mode::Heartbeat).unwrap();
+        let time_batch = |tier: ExecTier, reps: u32| {
+            let start = std::time::Instant::now();
+            for _ in 0..reps {
+                std::hint::black_box(
+                    run_engine!(Sim, lowered, spec, tier_config(tier))
+                        .stats
+                        .instructions,
+                );
+            }
+            start.elapsed().as_nanos() / u128::from(reps)
+        };
+        let reps = ExecTier::ALL.map(|tier| {
+            let once = time_batch(tier, 1).max(1);
+            (SMOKE_SAMPLE_NS / once + 1).min(u128::from(u32::MAX)) as u32
+        });
+        let mut samples: [Vec<u128>; 2] = Default::default();
+        for _ in 0..7 {
+            for (k, tier) in ExecTier::ALL.into_iter().enumerate() {
+                samples[k].push(time_batch(tier, reps[k]));
+            }
+        }
+        let [ref_ns, fast_ns] = samples.each_ref().map(|s| *s.iter().min().unwrap());
+        let spread = |s: &Vec<u128>| {
+            let (lo, hi) = (s.iter().min().unwrap(), s.iter().max().unwrap());
+            (hi - lo) as f64 / (*lo).max(1) as f64
+        };
+        let [ref_spread, fast_spread] = samples.each_ref().map(spread);
+        let speedup = ref_ns as f64 / fast_ns.max(1) as f64;
+        let summary = format!(
+            "ref min {ref_ns} ns/run (x{}, spread {:.0}%), \
+             fast min {fast_ns} ns/run (x{}, spread {:.0}%), {speedup:.2}x fast-over-ref",
+            reps[0],
+            ref_spread * 100.0,
+            reps[1],
+            fast_spread * 100.0
         );
-        decoded_ns = decoded_ns.min(start.elapsed().as_nanos());
-        let start = std::time::Instant::now();
-        std::hint::black_box(
-            run_engine!(Sim, lowered, spec, tier_config(ExecTier::Threaded))
-                .stats
-                .instructions,
+        println!("sim_throughput smoke {name}: {summary}");
+        assert!(
+            fast_ns <= ref_ns,
+            "{name}: fast tier is slower than the reference tier: {summary}"
         );
-        threaded_ns = threaded_ns.min(start.elapsed().as_nanos());
+        if TEMPLATE_CASES.contains(&name) {
+            assert!(
+                speedup >= SMOKE_MIN_TEMPLATE_SPEEDUP,
+                "{name}: fast tier is below {SMOKE_MIN_TEMPLATE_SPEEDUP:.1}x the reference \
+                 tier (did a loop template stop firing?): {summary}"
+            );
+        }
     }
-    let ratio = threaded_ns as f64 / decoded_ns.max(1) as f64;
-    println!(
-        "sim_throughput smoke {name}: decoded {decoded_ns} ns, \
-         threaded {threaded_ns} ns ({:.2}x decoded-over-threaded)",
-        1.0 / ratio
-    );
-    assert!(
-        ratio <= SMOKE_MAX_THREADED_SLOWDOWN,
-        "{name}: threaded tier is {:.0}% slower than decoded \
-         (gate: {:.0}%)",
-        (ratio - 1.0) * 100.0,
-        (SMOKE_MAX_THREADED_SLOWDOWN - 1.0) * 100.0
-    );
 }
 
 fn bench_sim_throughput(c: &mut Criterion) {
@@ -270,9 +289,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
             );
         }
         let instructions = ref_out.stats.instructions;
-        let mut traced_config = tier_config(ExecTier::Threaded);
+        let mut traced_config = tier_config(ExecTier::Fast);
         traced_config.record_trace = true;
-        let mut tier_ns = [u128::MAX; 3];
+        let mut tier_ns = [u128::MAX; 2];
         let mut ref_ns = u128::MAX;
         let mut traced_ns = u128::MAX;
         for _ in 0..7 {
@@ -297,53 +316,39 @@ fn bench_sim_throughput(c: &mut Criterion) {
             );
             traced_ns = traced_ns.min(start.elapsed().as_nanos());
         }
-        let [interp_ns, decoded_ns, threaded_ns] = tier_ns;
-        let speedup = ref_ns as f64 / threaded_ns.max(1) as f64;
-        let threaded_vs_decoded = decoded_ns as f64 / threaded_ns.max(1) as f64;
+        let [interp_ns, fast_ns] = tier_ns;
+        let speedup = ref_ns as f64 / fast_ns.max(1) as f64;
+        let fast_vs_ref = interp_ns as f64 / fast_ns.max(1) as f64;
         let ips = |ns: u128| instructions as f64 * 1e9 / ns.max(1) as f64;
-        let baseline = BASELINE_INSTR_PER_SEC
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, b)| *b)
-            .expect("baseline recorded for every case");
-        // Positive = decoded tier faster than the pre-trace baseline run.
-        let decoded_vs_baseline_pct = (ips(decoded_ns) / baseline - 1.0) * 100.0;
-        let tracing_overhead_pct = (traced_ns as f64 / threaded_ns.max(1) as f64 - 1.0) * 100.0;
+        let tracing_overhead_pct = (traced_ns as f64 / fast_ns.max(1) as f64 - 1.0) * 100.0;
         println!(
             "sim_throughput {name}: {instructions} instrs, \
-             interp {:.1} / decoded {:.1} / threaded {:.1} Minstr/s \
-             (threaded {threaded_vs_decoded:.2}x decoded, \
-             decoded {decoded_vs_baseline_pct:+.1}% vs pre-trace baseline), \
+             interp {:.1} / fast {:.1} Minstr/s (fast {fast_vs_ref:.2}x interp), \
              cycle-tick ref {:.1} Minstr/s, speedup {speedup:.1}x, \
              tracing on {tracing_overhead_pct:+.1}%",
             ips(interp_ns) / 1e6,
-            ips(decoded_ns) / 1e6,
-            ips(threaded_ns) / 1e6,
+            ips(fast_ns) / 1e6,
             ips(ref_ns) / 1e6,
         );
         entries.push(format!(
             "    {{\n      \"workload\": \"{name}\",\n      \"instructions\": {instructions},\n      \
              \"tier_ref_ns\": {interp_ns},\n      \
-             \"tier_decoded_ns\": {decoded_ns},\n      \
-             \"tier_threaded_ns\": {threaded_ns},\n      \
+             \"tier_fast_ns\": {fast_ns},\n      \
              \"cycle_tick_ref_ns\": {ref_ns},\n      \
-             \"tier_threaded_traced_ns\": {traced_ns},\n      \
+             \"tier_fast_traced_ns\": {traced_ns},\n      \
              \"tier_ref_instr_per_sec\": {:.0},\n      \
-             \"tier_decoded_instr_per_sec\": {:.0},\n      \
-             \"tier_threaded_instr_per_sec\": {:.0},\n      \
+             \"tier_fast_instr_per_sec\": {:.0},\n      \
              \"cycle_tick_ref_instr_per_sec\": {:.0},\n      \
              \"speedup\": {speedup:.2},\n      \
-             \"threaded_speedup_vs_decoded\": {threaded_vs_decoded:.2},\n      \
-             \"decoded_vs_baseline_pct\": {decoded_vs_baseline_pct:.2},\n      \
+             \"fast_speedup_vs_ref\": {fast_vs_ref:.2},\n      \
              \"tracing_on_overhead_pct\": {tracing_overhead_pct:.2}\n    }}",
             ips(interp_ns),
-            ips(decoded_ns),
-            ips(threaded_ns),
+            ips(fast_ns),
             ips(ref_ns),
         ));
     }
     // Scheduling-policy sweep: same min-of-N estimator, event engine
-    // at the default (threaded) tier only (the equivalence suite covers
+    // at the default (fast) tier only (the equivalence suite covers
     // engine agreement per policy). Eager runs more instructions (every
     // handler runs) and never runs fewer (no handlers at all), so each
     // row records its own count.
@@ -385,8 +390,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
     // attempts, detaches) recorded next to the numbers — a park/wake
     // hot-path regression shows up as a throughput drop on rows whose
     // traffic volume is pinned beside it. Same tier-agreement assert
-    // and min-of-N estimator as the main table; no pre-trace baseline
-    // column (these workloads postdate the trace subsystem).
+    // and min-of-N estimator as the main table.
     let mut streaming_entries = Vec::new();
     for name in STREAMING_CASES {
         let spec = workload(name)
@@ -404,7 +408,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
         }
         let stats = &ref_out.stats;
         let instructions = stats.instructions;
-        let mut tier_ns = [u128::MAX; 3];
+        let mut tier_ns = [u128::MAX; 2];
         for _ in 0..5 {
             for (k, tier) in ExecTier::ALL.into_iter().enumerate() {
                 let cfg = tier_config(tier);
@@ -413,37 +417,33 @@ fn bench_sim_throughput(c: &mut Criterion) {
                 tier_ns[k] = tier_ns[k].min(start.elapsed().as_nanos());
             }
         }
-        let [interp_ns, decoded_ns, threaded_ns] = tier_ns;
+        let [interp_ns, fast_ns] = tier_ns;
         let ips = |ns: u128| instructions as f64 * 1e9 / ns.max(1) as f64;
         println!(
             "sim_streaming {name}: {instructions} instrs, \
              {} pushes / {} pops / {} blocked / {} detaches, \
-             interp {:.1} / decoded {:.1} / threaded {:.1} Minstr/s",
+             interp {:.1} / fast {:.1} Minstr/s",
             stats.chan_pushes,
             stats.chan_pops,
             stats.chan_blocks,
             stats.detaches,
             ips(interp_ns) / 1e6,
-            ips(decoded_ns) / 1e6,
-            ips(threaded_ns) / 1e6,
+            ips(fast_ns) / 1e6,
         );
         streaming_entries.push(format!(
             "    {{\n      \"workload\": \"{name}\",\n      \"instructions\": {instructions},\n      \
              \"chan_pushes\": {},\n      \"chan_pops\": {},\n      \
              \"chan_blocks\": {},\n      \"detaches\": {},\n      \
              \"tier_ref_ns\": {interp_ns},\n      \
-             \"tier_decoded_ns\": {decoded_ns},\n      \
-             \"tier_threaded_ns\": {threaded_ns},\n      \
+             \"tier_fast_ns\": {fast_ns},\n      \
              \"tier_ref_instr_per_sec\": {:.0},\n      \
-             \"tier_decoded_instr_per_sec\": {:.0},\n      \
-             \"tier_threaded_instr_per_sec\": {:.0}\n    }}",
+             \"tier_fast_instr_per_sec\": {:.0}\n    }}",
             stats.chan_pushes,
             stats.chan_pops,
             stats.chan_blocks,
             stats.detaches,
             ips(interp_ns),
-            ips(decoded_ns),
-            ips(threaded_ns),
+            ips(fast_ns),
         ));
     }
 

@@ -21,17 +21,23 @@
 //!   ([`CmpBranch`]), the whole 3-instruction loop-head block
 //!   ([`CmpBranchBranch`]), the add/sub-immediate + compare + branch
 //!   back-edge triple ([`StepCmpBranch`]), and op + `jump` loop tails
-//!   ([`OpJump`]).
+//!   ([`OpJump`]);
+//! * **whole-loop templates** — loop heads whose loop matches one of two
+//!   shapes (a heap-slice reduction, a guarded-update relaxation) become
+//!   a single micro-op that commits many pre-validated iterations per
+//!   dispatch (see [`template`]).
 //!
 //! [`DecodedProgram::run_until`] then executes micro-ops with the exact
 //! observable semantics of [`crate::machine::run_task_until`]: same
 //! pause priority (quantum, then promotion watch, then boundary), same
 //! step counting (a fused micro-op counts one step per constituent
-//! instruction, and a quantum may split it mid-way), same faults with
-//! the same partially-advanced task position, and same batched cycle /
-//! work / span / cost accounting. The `Instr` interpreter remains the
-//! reference semantics; the differential suites in `tpal-sim` and the
-//! `decoded_prop` property test hold the two bit-identical.
+//! instruction, and a quantum may split it mid-way; a loop template
+//! counts each committed iteration's exact instruction count), same
+//! faults with the same partially-advanced task position, and same
+//! batched cycle / work / span / cost accounting. The `Instr`
+//! interpreter remains the reference semantics; the differential suites
+//! in `tpal-sim` and the `decoded_prop` property test hold the two
+//! bit-identical.
 //!
 //! Decoding happens strictly *after* validation and is invisible to the
 //! assembler: `asm` prints from [`Instr`], so a parse → print round
@@ -49,13 +55,18 @@ use crate::machine::step::{eval_binop, exec_plain, RunPause, Stores, TaskState};
 use crate::machine::{MachineError, Value};
 use crate::program::Program;
 
+pub mod template;
+
+pub use template::LoopTemplate;
+use template::{guarded_bulk, match_templates, reduce_bulk, GuardedLoop, ReduceLoop};
+
 /// Funnels a fault off the hot dispatch path: the optimizer moves every
 /// `return Err(cold_fault(..))` out of line, keeping the fall-through
 /// dispatch code dense (faults are exceptional by construction — a
 /// faulting program terminates).
 #[cold]
 #[inline(never)]
-pub(crate) fn cold_fault(e: MachineError) -> MachineError {
+fn cold_fault(e: MachineError) -> MachineError {
     e
 }
 
@@ -63,7 +74,7 @@ pub(crate) fn cold_fault(e: MachineError) -> MachineError {
 /// borrows the file once, keeping its pointer and length in machine
 /// registers across stack and heap stores).
 #[inline(always)]
-pub(crate) fn rread(regs: &[Value], r: Reg) -> Result<Value, MachineError> {
+fn rread(regs: &[Value], r: Reg) -> Result<Value, MachineError> {
     match regs[r.index()] {
         Value::Uninit => Err(MachineError::UninitRegister { reg: r }),
         v => Ok(v),
@@ -72,13 +83,13 @@ pub(crate) fn rread(regs: &[Value], r: Reg) -> Result<Value, MachineError> {
 
 /// Reads a stack pointer from the borrowed register slice.
 #[inline(always)]
-pub(crate) fn rstack(regs: &[Value], r: Reg) -> Result<StackRef, MachineError> {
+fn rstack(regs: &[Value], r: Reg) -> Result<StackRef, MachineError> {
     rread(regs, r)?.as_stack()
 }
 
 /// Sentinel in the `pc_of` table: this source instruction is in the
 /// interior of a fused micro-op (not a dispatch point).
-pub(crate) const MID: u32 = u32::MAX;
+const MID: u32 = u32::MAX;
 
 /// An operand with its immediate pre-resolved (kept as the raw payload
 /// rather than a [`Value`] so the enum stays 16 bytes; the `Value` is
@@ -277,6 +288,12 @@ pub(crate) enum UOp {
         rhs: Src,
         taken: u32,
     },
+    /// Whole-loop reduce template over a loop-head block; its payload
+    /// is `DecodedProgram::reduce[idx]` (see [`template`]).
+    ReduceLoop { idx: u32 },
+    /// Whole-loop guarded-update template over a loop-head block; its
+    /// payload is `DecodedProgram::guarded[idx]` (see [`template`]).
+    GuardedLoop { idx: u32 },
     /// `halt`, `fork`, `join`, `jralloc`, `snew`, or `halloc`: a
     /// scheduling or allocation boundary, never executed here — the
     /// caller runs it with [`crate::machine::step_task`].
@@ -330,6 +347,10 @@ pub struct DecodedProgram {
     /// Per block: unit cost weight (its instruction count — every
     /// instruction weighs 1 in the cost semantics).
     pub(crate) weights: Vec<u32>,
+    /// Reduce-loop template payloads, indexed by [`UOp::ReduceLoop`].
+    pub(crate) reduce: Vec<ReduceLoop>,
+    /// Guarded-update template payloads, indexed by [`UOp::GuardedLoop`].
+    pub(crate) guarded: Vec<GuardedLoop>,
 }
 
 /// Length of the fused run starting at `i` in a block's instruction
@@ -520,6 +541,15 @@ impl DecodedProgram {
             }
         }
 
+        // Pass 3: install whole-loop templates over their loop heads.
+        let templates = match_templates(&uops, &src, &prppt_entry);
+        for &(pc, uop, watch) in &templates.installs {
+            uops[pc] = uop;
+            if watch {
+                watch_uops[pc] = uop;
+            }
+        }
+
         DecodedProgram {
             uops,
             watch_uops,
@@ -531,6 +561,8 @@ impl DecodedProgram {
             pc_of,
             handlers,
             weights,
+            reduce: templates.reduce,
+            guarded: templates.guarded,
         }
     }
 
@@ -639,6 +671,15 @@ impl DecodedProgram {
     /// The unit cost weight of a block (its instruction count).
     pub fn block_weight(&self, block: Label) -> u32 {
         self.weights[block.index()]
+    }
+
+    /// The whole-loop template installed at micro-op `pc`, if any.
+    pub fn loop_template(&self, pc: usize) -> Option<LoopTemplate> {
+        match self.uops[pc] {
+            UOp::ReduceLoop { .. } => Some(LoopTemplate::Reduce),
+            UOp::GuardedLoop { .. } => Some(LoopTemplate::GuardedUpdate),
+            _ => None,
+        }
     }
 
     /// Writes `task.block`/`task.instr` to the entry of micro-op `pc`.
@@ -797,6 +838,39 @@ impl DecodedProgram {
                         }
                     }
                     break;
+                }};
+            }
+            // The fused loop-head block `dst := lhs op rhs; if-jump dst,
+            // taken; jump fallthrough`: 2 steps taken, 3 on the exit.
+            macro_rules! loop_head {
+                ($dst:expr, $op:expr, $lhs:expr, $rhs:expr, $taken:expr, $fallthrough:expr) => {{
+                    if remaining < 3 {
+                        split!();
+                    }
+                    let l = part!(1, rread(regs, $lhs));
+                    let r = part!(1, $rhs.eval(regs));
+                    let v = part!(1, eval_binop_fast($op, l, r));
+                    regs[$dst.index()] = v;
+                    if v.is_true() {
+                        remaining -= 2;
+                        pc = $taken as usize;
+                    } else {
+                        remaining -= 3;
+                        pc = $fallthrough as usize;
+                    }
+                }};
+            }
+            // A loop template's fall-back: whatever whole iterations it
+            // committed, pause at the head on an exhausted quantum, else
+            // run the head as a plain loop-head block and let the body's
+            // own micro-ops reproduce faults, splits, and pauses.
+            macro_rules! template_head {
+                ($h:expr) => {{
+                    let h = $h;
+                    if remaining == 0 {
+                        continue;
+                    }
+                    loop_head!(h.t, h.cmp, h.j, Src::Reg(h.n), h.body, h.exit);
                 }};
             }
             loop {
@@ -1020,22 +1094,7 @@ impl DecodedProgram {
                         rhs,
                         taken,
                         fallthrough,
-                    } => {
-                        if remaining < 3 {
-                            split!();
-                        }
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = part!(1, eval_binop_fast(op, l, r));
-                        regs[dst.index()] = v;
-                        if v.is_true() {
-                            remaining -= 2;
-                            pc = taken as usize;
-                        } else {
-                            remaining -= 3;
-                            pc = fallthrough as usize;
-                        }
-                    }
+                    } => loop_head!(dst, op, lhs, rhs, taken, fallthrough),
                     UOp::OpJump {
                         dst,
                         op,
@@ -1085,6 +1144,16 @@ impl DecodedProgram {
                         remaining -= 3;
                         pc = if v.is_true() { taken as usize } else { next };
                     }
+                    UOp::ReduceLoop { idx } => {
+                        let t = &self.reduce[idx as usize];
+                        reduce_bulk(t, regs, hwords, &mut remaining);
+                        template_head!(t.head);
+                    }
+                    UOp::GuardedLoop { idx } => {
+                        let g = &self.guarded[idx as usize];
+                        guarded_bulk(g, regs, hwords, &mut remaining);
+                        template_head!(g.head);
+                    }
                     UOp::Boundary => {
                         *steps = max_steps - remaining;
                         self.sync(task, pc);
@@ -1117,7 +1186,16 @@ mod tests {
             assert_eq!(a.block_entry, b.block_entry);
             assert_eq!(a.prppt_entry, b.prppt_entry);
             assert_eq!(a.weights, b.weights);
+            assert_eq!(a.reduce, b.reduce);
+            assert_eq!(a.guarded, b.guarded);
         }
+    }
+
+    /// Loop templates keep their payloads in side tables, so the
+    /// micro-op stride stays that of the widest fused shape.
+    #[test]
+    fn uop_stride_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<UOp>(), 56);
     }
 
     /// Every micro-op maps back to a contiguous source range, and the

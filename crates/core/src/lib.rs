@@ -61,12 +61,10 @@ pub mod isa;
 pub mod machine;
 pub mod program;
 pub mod programs;
-pub mod threaded;
 pub mod tier;
 
 pub use decoded::DecodedProgram;
 pub use isa::{Annotation, BinOp, Block, Instr, JoinPolicy, Label, Operand, Reg, RegMap};
 pub use machine::{Machine, MachineConfig, MachineError, Outcome, Value};
 pub use program::{Program, ProgramBuilder, ValidationError};
-pub use threaded::ThreadedProgram;
 pub use tier::{ExecBackend, ExecTier};

@@ -136,7 +136,7 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the execution tier (default: threaded).
+    /// Sets the execution tier (default: fast).
     pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {
         self.exec_tier = tier;
         self
@@ -376,8 +376,8 @@ impl<'p> Machine<'p> {
                 }
                 _ => u64::MAX,
             };
-            // Straight-line stretches run batched through the decoded
-            // micro-op stream; the batch budget is the least of the three
+            // Straight-line stretches run batched through the configured
+            // exec tier; the batch budget is the least of the three
             // events the per-step reference loop would notice — heartbeat
             // expiry (the poll fires once `cycles` exceeds ♥), the end of
             // the scheduling slice, and the global step limit. Boundaries

@@ -1,71 +1,64 @@
-//! Execution-tier selection: one enum naming the three interpreter
-//! tiers, and a pre-compiled backend that dispatches a task quantum to
-//! the selected tier.
+//! Execution-tier selection: one enum naming the two interpreter tiers,
+//! and a pre-compiled backend that dispatches a task quantum to the
+//! selected tier.
 //!
-//! The three tiers are bit-identical in observable behaviour — same
-//! step and cycle accounting, same pause points, same fault positions —
-//! and differ only in dispatch cost:
+//! The two tiers are bit-identical in observable behaviour — same step
+//! and cycle accounting, same pause points, same fault positions — and
+//! differ only in dispatch cost:
 //!
 //! * [`ExecTier::Reference`] — the specification interpreter
 //!   ([`crate::machine::run_task_until`]): one `match` over
 //!   [`crate::isa::Instr`] per step, operands read through the register
-//!   map each time. Slowest; the semantic ground truth.
-//! * [`ExecTier::Decoded`] — the pre-decoded micro-op stream
+//!   map each time. Slow; the semantic ground truth and test oracle.
+//! * [`ExecTier::Fast`] — the pre-decoded micro-op stream
 //!   ([`crate::decoded::DecodedProgram`]): operands resolved at decode
 //!   time, hot multi-instruction shapes fused into superinstructions,
-//!   dispatched by a `match` over the micro-op enum.
-//! * [`ExecTier::Threaded`] — the threaded-code tier
-//!   ([`crate::threaded::ThreadedProgram`]): each micro-op span lowered
-//!   to a pre-bound handler function pointer with a fixed-layout
-//!   operand payload, so the execute loop is an indirect call per
-//!   dispatch with no opcode decode or operand indexing. Fastest; the
-//!   default.
+//!   recognised loops run as whole-loop templates, all dispatched by one
+//!   `match` over the micro-op enum. The default.
 //!
-//! Equivalence across the tiers is enforced by three-way differential
-//! suites (`engine_equivalence`, `decoded_prop`, `threaded_quantum`).
+//! Equivalence between the tiers is enforced by differential suites
+//! (`engine_equivalence`, `decoded_prop`, `template_quantum`).
 
 use crate::decoded::DecodedProgram;
 use crate::machine::step::{run_task_until, RunPause, Stores, TaskState};
 use crate::machine::MachineError;
 use crate::program::Program;
-use crate::threaded::ThreadedProgram;
 
 /// Which interpreter tier executes task quanta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
     /// The specification interpreter: per-step `match` on [`crate::isa::Instr`].
     Reference,
-    /// Pre-decoded micro-ops with fused superinstructions.
-    Decoded,
-    /// Direct-dispatch threaded code over pre-bound handler pointers (default).
+    /// Pre-decoded micro-ops with fused superinstructions and loop
+    /// templates (default).
     #[default]
-    Threaded,
+    Fast,
 }
 
 impl ExecTier {
-    /// Parses a tier name as accepted by `--exec-tier`:
-    /// `ref`/`reference`, `decoded`, or `threaded`.
+    /// Parses a tier name as accepted by `--exec-tier`: `ref`/`reference`
+    /// or `fast`. The names of the two former fast tiers, `decoded` and
+    /// `threaded`, still parse as [`ExecTier::Fast`], so replay tokens and
+    /// clients written against them keep working.
     pub fn parse(s: &str) -> Option<ExecTier> {
         match s {
             "ref" | "reference" => Some(ExecTier::Reference),
-            "decoded" => Some(ExecTier::Decoded),
-            "threaded" => Some(ExecTier::Threaded),
+            "fast" | "decoded" | "threaded" => Some(ExecTier::Fast),
             _ => None,
         }
     }
 
-    /// Canonical short name (`ref`, `decoded`, `threaded`), as used in
-    /// bench columns and CLI output.
+    /// Canonical short name (`ref`, `fast`), as used in bench columns
+    /// and CLI output.
     pub fn label(self) -> &'static str {
         match self {
             ExecTier::Reference => "ref",
-            ExecTier::Decoded => "decoded",
-            ExecTier::Threaded => "threaded",
+            ExecTier::Fast => "fast",
         }
     }
 
-    /// All tiers, in increasing order of dispatch sophistication.
-    pub const ALL: [ExecTier; 3] = [ExecTier::Reference, ExecTier::Decoded, ExecTier::Threaded];
+    /// Both tiers, reference first.
+    pub const ALL: [ExecTier; 2] = [ExecTier::Reference, ExecTier::Fast];
 }
 
 impl std::fmt::Display for ExecTier {
@@ -83,11 +76,9 @@ impl std::fmt::Display for ExecTier {
 pub enum ExecBackend {
     /// No pre-compilation; quanta run through the specification interpreter.
     Reference,
-    /// Pre-decoded micro-op stream (boxed, same as `Threaded`).
-    Decoded(Box<DecodedProgram>),
-    /// Threaded-code handler stream (boxed: the handler tables make
-    /// it the largest variant by far, and it is built once per program).
-    Threaded(Box<ThreadedProgram>),
+    /// Pre-decoded micro-op stream (boxed: it is built once per program
+    /// and keeps the enum one pointer wide).
+    Fast(Box<DecodedProgram>),
 }
 
 impl ExecBackend {
@@ -95,10 +86,7 @@ impl ExecBackend {
     pub fn new(program: &Program, tier: ExecTier) -> ExecBackend {
         match tier {
             ExecTier::Reference => ExecBackend::Reference,
-            ExecTier::Decoded => ExecBackend::Decoded(Box::new(DecodedProgram::decode(program))),
-            ExecTier::Threaded => {
-                ExecBackend::Threaded(Box::new(ThreadedProgram::compile(program)))
-            }
+            ExecTier::Fast => ExecBackend::Fast(Box::new(DecodedProgram::decode(program))),
         }
     }
 
@@ -106,8 +94,7 @@ impl ExecBackend {
     pub fn tier(&self) -> ExecTier {
         match self {
             ExecBackend::Reference => ExecTier::Reference,
-            ExecBackend::Decoded(_) => ExecTier::Decoded,
-            ExecBackend::Threaded(_) => ExecTier::Threaded,
+            ExecBackend::Fast(_) => ExecTier::Fast,
         }
     }
 
@@ -126,8 +113,7 @@ impl ExecBackend {
     ) -> Result<(u64, RunPause), MachineError> {
         match self {
             ExecBackend::Reference => run_task_until(program, task, stores, max_steps, watch),
-            ExecBackend::Decoded(d) => d.run_until(task, stores, max_steps, watch),
-            ExecBackend::Threaded(t) => t.run_until(task, stores, max_steps, watch),
+            ExecBackend::Fast(d) => d.run_until(task, stores, max_steps, watch),
         }
     }
 }
@@ -144,8 +130,10 @@ mod tests {
             assert_eq!(ExecTier::parse(tier.label()), Some(tier));
         }
         assert_eq!(ExecTier::parse("reference"), Some(ExecTier::Reference));
+        assert_eq!(ExecTier::parse("decoded"), Some(ExecTier::Fast));
+        assert_eq!(ExecTier::parse("threaded"), Some(ExecTier::Fast));
         assert_eq!(ExecTier::parse("jit"), None);
-        assert_eq!(ExecTier::default(), ExecTier::Threaded);
+        assert_eq!(ExecTier::default(), ExecTier::Fast);
     }
 
     #[test]
@@ -163,6 +151,5 @@ mod tests {
             results.push((format!("{r:?}"), task.block, task.instr, task.cycles));
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
     }
 }

@@ -1,13 +1,13 @@
-//! Property tests of the compiled executors: on randomly generated
-//! valid programs, the decoded micro-op tier **and** the threaded-code
-//! tier must reach exactly the same final state as the reference
+//! Property tests of the compiled executor: on randomly generated
+//! valid programs, the fast tier (pre-decoded micro-ops) must reach
+//! exactly the same final state as the reference
 //! interpreter ([`run_task_until`] / [`step_task`]) — same final
 //! registers, same heap checksum, same cycle count, and, when the
 //! program faults, the same [`MachineError`] at the same task position.
 //! The generator deliberately produces division-by-zero,
 //! uninitialised-register, heap-range, and stack-fault paths, and the
-//! compiled tiers are driven with adversarial quantum chunkings so
-//! fused micro-ops and merged threaded spans are split mid-way.
+//! fast tier is driven with adversarial quantum chunkings so fused
+//! micro-ops are split mid-way.
 
 use proptest::prelude::*;
 
@@ -249,10 +249,10 @@ fn drive(program: &Program, backend: &ExecBackend, chunks: &[u64]) -> RunResult 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Compiled execution (decoded and threaded tiers) reaches the
-    /// reference's exact final state — registers, heap, cycles, fault
-    /// and fault position — regardless of how quanta slice the run
-    /// (including mid-fused-op and mid-merged-span splits).
+    /// Compiled execution (the fast tier) reaches the reference's exact
+    /// final state — registers, heap, cycles, fault and fault position —
+    /// regardless of how quanta slice the run (including mid-fused-op
+    /// splits).
     #[test]
     fn compiled_tiers_match_reference(
         bodies in proptest::collection::vec(
@@ -265,16 +265,13 @@ proptest! {
         let p = build_program(&bodies, &jumps, &seeds);
         let reference_backend = ExecBackend::new(&p, ExecTier::Reference);
         let reference = drive(&p, &reference_backend, &[u64::MAX]);
-        for tier in [ExecTier::Decoded, ExecTier::Threaded] {
-            let backend = ExecBackend::new(&p, tier);
-            // Unchunked compiled run.
-            let whole = drive(&p, &backend, &[u64::MAX]);
-            prop_assert_eq!(&reference, &whole, "{} whole", tier);
-            // Adversarially chunked compiled run (splits fused
-            // micro-ops and merged spans).
-            let sliced = drive(&p, &backend, &chunks);
-            prop_assert_eq!(&reference, &sliced, "{} sliced", tier);
-        }
+        let backend = ExecBackend::new(&p, ExecTier::Fast);
+        // Unchunked compiled run.
+        let whole = drive(&p, &backend, &[u64::MAX]);
+        prop_assert_eq!(&reference, &whole, "fast whole");
+        // Adversarially chunked compiled run (splits fused micro-ops).
+        let sliced = drive(&p, &backend, &chunks);
+        prop_assert_eq!(&reference, &sliced, "fast sliced");
         // Chunked *reference* run, for symmetry: the pause protocol
         // itself must be chunking-invariant on every executor.
         let ref_sliced = drive(&p, &reference_backend, &chunks);

@@ -76,7 +76,7 @@ pub struct RtConfig {
     /// to `never`.
     pub policy: Policy,
     /// Which interpreter tier [`Runtime::run_program`] executes TPAL
-    /// straight-line stretches through. All tiers are bit-identical in
+    /// straight-line stretches through. Both tiers are bit-identical in
     /// outcome (see [`tpal_core::tier`]); native closure-level jobs are
     /// unaffected.
     pub exec_tier: ExecTier,
@@ -163,8 +163,7 @@ impl RtConfig {
         self
     }
 
-    /// Sets the execution tier for TPAL program runs (default:
-    /// threaded).
+    /// Sets the execution tier for TPAL program runs (default: fast).
     pub fn exec_tier(mut self, tier: ExecTier) -> Self {
         self.exec_tier = tier;
         self

@@ -8,8 +8,8 @@
 //! promotion-ready *watch* only once a beat is due — the same
 //! signal-at-prppt semantics the paper obtains with rollforward
 //! compilation. Straight-line stretches run through the configured
-//! execution tier ([`RtConfig::exec_tier`]): reference, decoded
-//! micro-ops, or threaded code, all bit-identical in outcome.
+//! execution tier ([`RtConfig::exec_tier`]): the reference interpreter
+//! or the fast micro-op tier, bit-identical in outcome.
 //!
 //! Task management is deliberately local (a FIFO of ready tasks on the
 //! interpreting worker, as in [`tpal_core::machine::Machine`]): TPAL

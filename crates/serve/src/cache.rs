@@ -1,14 +1,14 @@
-//! The content-hash-keyed decode cache: validate + decode +
-//! threaded-compile each distinct program **once**, serve every later
-//! run from the compiled artifact.
+//! The content-hash-keyed decode cache: validate + decode each
+//! distinct program **once**, serve every later run from the compiled
+//! artifact.
 //!
 //! Concurrency discipline: the outer map is held only long enough to
 //! clone an `Arc` slot; compilation itself runs inside the slot's
 //! `OnceLock`, so N racing submitters of the same new program perform
 //! exactly one parse/validate (the others block on the lock and share
 //! the result). Per-tier backends compile lazily under their own
-//! `OnceLock`s — a program served only on the threaded tier never pays
-//! the decoded tier's compile. Failed compilations are cached too:
+//! `OnceLock`s — a program served only on the reference tier never
+//! pays the fast tier's decode. Failed compilations are cached too:
 //! resubmitting a broken program costs a hash lookup, not a re-parse.
 
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ pub struct CachedProgram {
     hash: u64,
     compiled: Compiled,
     /// One slot per [`ExecTier::ALL`] entry, compiled on first use.
-    tiers: [OnceLock<ExecBackend>; 3],
+    tiers: [OnceLock<ExecBackend>; 2],
 }
 
 enum Compiled {
@@ -200,7 +200,7 @@ fn compile(src: &ProgramSrc, hash: u64) -> Result<CachedProgram, String> {
     Ok(CachedProgram {
         hash,
         compiled,
-        tiers: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
+        tiers: [OnceLock::new(), OnceLock::new()],
     })
 }
 
@@ -228,8 +228,8 @@ mod tests {
         let cache = ProgramCache::new();
         let (entry, _) = cache.get_or_compile(&ProgramSrc::tpl(SUM_TPL, "heartbeat"));
         let entry = entry.unwrap();
-        let a = entry.backend(ExecTier::Threaded) as *const ExecBackend;
-        let b = entry.backend(ExecTier::Threaded) as *const ExecBackend;
+        let a = entry.backend(ExecTier::Fast) as *const ExecBackend;
+        let b = entry.backend(ExecTier::Fast) as *const ExecBackend;
         assert_eq!(a, b, "same compiled artifact on repeat requests");
         assert_eq!(
             entry.backend(ExecTier::Reference).tier(),

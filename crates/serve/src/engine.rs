@@ -177,7 +177,7 @@ impl Engine {
         config.step_limit = spec.step_limit.unwrap_or(SERVICE_STEP_LIMIT);
         config.record_trace = include.any();
         // The compiled artifact is cloned per run (a memcpy of the
-        // handler stream), not recompiled — the decode-once payoff.
+        // micro-op stream), not recompiled — the decode-once payoff.
         let backend = entry.backend(spec.tier).clone();
         let mut sim = Sim::with_backend(entry.program(), backend, config);
         for (name, value) in &spec.sets {

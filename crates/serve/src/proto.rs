@@ -13,7 +13,7 @@
 //!   "heartbeat": 3000,
 //!   "policy": "heartbeat/uniform",
 //!   "heartbeat_source": "signal",
-//!   "tier": "threaded",
+//!   "tier": "fast",
 //!   "seed": 123,
 //!   "step_limit": 200000000,
 //!   "sets": { "n": 1000 },
@@ -108,8 +108,9 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
         Some(_) => return Err("`heartbeat_source` must be a string".to_owned()),
     };
     let tier = match doc.get("tier").and_then(Json::as_str) {
-        Some(label) => ExecTier::parse(label)
-            .ok_or_else(|| format!("unknown tier `{label}` (ref|decoded|threaded)"))?,
+        Some(label) => {
+            ExecTier::parse(label).ok_or_else(|| format!("unknown tier `{label}` (ref|fast)"))?
+        }
         None => ExecTier::default(),
     };
     let mut sets = Vec::new();
@@ -221,7 +222,8 @@ mod tests {
         assert_eq!(req.spec.heartbeat, Some(250));
         assert_eq!(req.spec.policy.label(), "eager/uniform");
         assert_eq!(req.spec.source, HeartbeatSource::TimerSignal);
-        assert_eq!(req.spec.tier, ExecTier::Decoded);
+        // `decoded` is a former fast-tier name, still accepted.
+        assert_eq!(req.spec.tier, ExecTier::Fast);
         assert_eq!(req.spec.seed, u64::MAX);
         assert_eq!(
             req.spec.sets,

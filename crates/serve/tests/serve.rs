@@ -104,7 +104,7 @@ proptest! {
         seed in any::<u64>(),
         n in 0i64..26,
         linux in any::<bool>(),
-        tier in proptest::sample::select(vec!["ref", "decoded", "threaded"]),
+        tier in proptest::sample::select(vec!["ref", "fast"]),
         policy in proptest::sample::select(vec![
             "heartbeat/uniform",
             "heartbeat/sequence",
@@ -134,6 +134,44 @@ proptest! {
             &replayed.result, &first.result,
             "replayed registers/stats/time must be bit-identical"
         );
+    }
+}
+
+/// A replay token minted before the exec tiers were merged, for
+/// `program(3)` on 4 simulated cores with n = 300, ♥ = 500, seed 7, on
+/// the former `decoded` tier.
+const PRE_MERGE_DECODED_TOKEN: &str = concat!(
+    "r1-7b22636f726573223a342c226862223a3530302c226862737263223a226c6f63616c2d74696d6572222c2",
+    "26c696e7578223a66616c73652c22706f6c696379223a226865617274626561742f756e69666f726d222c227",
+    "0726f67223a2239623532353366656131303737636161222c2273656564223a2237222c2273657473223a7b2",
+    "26e223a22333030227d2c22736c223a6e756c6c2c22737562223a2273696d222c2274696572223a226465636",
+    "f646564222c22776f726b657273223a307d",
+);
+
+/// The same run minted on the other former fast tier.
+const PRE_MERGE_THREADED_TOKEN: &str = concat!(
+    "r1-7b22636f726573223a342c226862223a3530302c226862737263223a226c6f63616c2d74696d6572222c2",
+    "26c696e7578223a66616c73652c22706f6c696379223a226865617274626561742f756e69666f726d222c227",
+    "0726f67223a2239623532353366656131303737636161222c2273656564223a2237222c2273657473223a7b2",
+    "26e223a22333030227d2c22736c223a6e756c6c2c22737562223a2273696d222c2274696572223a227468726",
+    "561646564222c22776f726b657273223a307d",
+);
+
+/// The result object both tokens produced when they were minted.
+const PRE_MERGE_RESULT: &str = "{\"registers\":{\"%e\":0,\"%half\":24,\"%mid\":167,\"%rem\":48,\"%t\":1,\"%ti\":143,\"main.%s0_grain\":0,\"main.%s0_hi\":167,\"main.%s0_own\":0,\"main.%t0\":498,\"main.i\":167,\"main.n\":300,\"main.s\":134550,\"main.s__2\":80115,\"result\":134550,\"rv\":134550},\"stats\":{\"failed_steals\":162,\"forks\":19,\"heartbeats_delivered\":44,\"idle_cycles\":8100,\"instructions\":2435,\"joins\":39,\"max_live_tasks\":7,\"merges\":19,\"overhead_cycles\":13070,\"promotions\":22,\"steals\":15,\"work_cycles\":2435},\"time\":5890}";
+
+/// Replay tokens minted when three exec tiers existed still replay: both
+/// former fast-tier names decode to [`ExecTier::Fast`], and both runs
+/// reproduce the recorded result bit for bit.
+#[test]
+fn pre_merge_replay_tokens_still_replay() {
+    let engine = Engine::new();
+    let (entry, _) = engine.cache().get_or_compile(&program(3));
+    entry.unwrap();
+    for token in [PRE_MERGE_DECODED_TOKEN, PRE_MERGE_THREADED_TOKEN] {
+        let (spec, out) = engine.replay(token).unwrap();
+        assert_eq!(spec.tier, tpal_core::tier::ExecTier::Fast);
+        assert_eq!(out.result, PRE_MERGE_RESULT);
     }
 }
 

@@ -6,7 +6,7 @@
 //! by `(time, phase, core)`, and between scheduling-relevant boundaries
 //! each core executes whole *runs* of straight-line instructions in one
 //! [`ExecBackend::run_until`] call over the configured execution tier
-//! (reference, decoded micro-ops, or threaded code — compiled once per
+//! (the reference interpreter or the fast micro-op tier — compiled once per
 //! [`Sim`] and shared by every core and task, see
 //! [`SimConfig::exec_tier`]) instead of one `step_task` round-trip per
 //! cycle.
@@ -315,19 +315,16 @@ impl<'p> Sim<'p> {
     /// many times (`tpal-serve`): the caller pays
     /// [`ExecBackend::new`]'s decode/compile cost once per program and
     /// hands each run a clone of the compiled artifact (a flat-array
-    /// memcpy, no re-analysis).
+    /// memcpy, no re-analysis). The backend's tier overrides
+    /// `config.exec_tier` for this run; outcomes are bit-identical across
+    /// tiers either way.
     ///
     /// # Panics
     ///
-    /// If `backend` was compiled for a different tier than
-    /// `config.exec_tier`, or `config.cores` is zero.
-    pub fn with_backend(program: &'p Program, backend: ExecBackend, config: SimConfig) -> Self {
+    /// If `config.cores` is zero.
+    pub fn with_backend(program: &'p Program, backend: ExecBackend, mut config: SimConfig) -> Self {
         assert!(config.cores > 0, "at least one core required");
-        assert_eq!(
-            backend.tier(),
-            config.exec_tier,
-            "backend tier must match config.exec_tier"
-        );
+        config.exec_tier = backend.tier();
         let mut stores = Stores::new();
         stores.stacks.set_promotion_order(config.promotion_order);
         Sim {

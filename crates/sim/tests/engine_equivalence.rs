@@ -1,6 +1,6 @@
 //! Differential tests: the event-driven engine ([`Sim`]) — on **every
-//! execution tier** (reference interpreter, decoded micro-ops, threaded
-//! code) — must be *observably equivalent* to the cycle-tick reference
+//! execution tier** (reference interpreter, fast micro-op tier) — must
+//! be *observably equivalent* to the cycle-tick reference
 //! ([`SimRef`]): identical makespan, identical [`SimStats`] field by
 //! field, and identical final registers, on real workload programs,
 //! across every interrupt model and several RNG seeds.

@@ -7,7 +7,7 @@
 //!               [--sim CORES | --rt WORKERS] [--linux | --nautilus]
 //!               [--policy P[/V[/C]]] [--victim V]
 //!               [--heartbeat-source ping|local-timer|signal]
-//!               [--exec-tier ref|decoded|threaded]
+//!               [--exec-tier ref|fast]
 //!               [--newest-first] [--print]
 //!               [--trace OUT.json] [--profile]
 //! ```
@@ -44,10 +44,10 @@
 //! unsupported).
 //!
 //! `--exec-tier` selects the interpreter tier for straight-line
-//! execution on every substrate: `ref` (the specification interpreter),
-//! `decoded` (pre-decoded micro-ops), or `threaded` (direct-dispatch
-//! threaded code, the default). All tiers are bit-identical in results
-//! and statistics; they differ only in host execution speed.
+//! execution on every substrate: `ref` (the specification interpreter)
+//! or `fast` (pre-decoded micro-ops with loop templates, the default).
+//! Both tiers are bit-identical in results and statistics; they differ
+//! only in host execution speed.
 //!
 //! Observability (simulator and native-runtime runs): `--trace
 //! OUT.json` records a structured scheduling trace and writes it as
@@ -108,7 +108,7 @@ fn usage() -> String {
      [--set reg=int]... [--heartbeat N] [--tau N] [--sim CORES | --rt WORKERS] \
      [--linux | --nautilus] [--policy P[/V[/C]]] [--victim V] \
      [--heartbeat-source ping|local-timer|signal] \
-     [--exec-tier ref|decoded|threaded] \
+     [--exec-tier ref|fast] \
      [--newest-first] [--print] [--trace OUT.json] [--profile]"
         .to_owned()
 }
@@ -199,9 +199,8 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
             }
             "--exec-tier" => {
                 let spec = need(&mut args, "--exec-tier")?;
-                opts.exec_tier = ExecTier::parse(&spec).ok_or_else(|| {
-                    format!("--exec-tier: unknown tier `{spec}` (ref|decoded|threaded)")
-                })?;
+                opts.exec_tier = ExecTier::parse(&spec)
+                    .ok_or_else(|| format!("--exec-tier: unknown tier `{spec}` (ref|fast)"))?;
             }
             "--trace" => opts.trace_out = Some(need(&mut args, "--trace")?),
             "--profile" => opts.profile = true,
