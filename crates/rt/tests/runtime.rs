@@ -2,6 +2,7 @@
 //! every heartbeat source, promotion accounting, and the serial-by-default
 //! guarantee.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -45,7 +46,8 @@ fn disabled_source_never_promotes() {
 fn local_timer_promotes_long_loops() {
     let rt = rt(2, HeartbeatSource::LocalTimer, 100);
     let n = 4_000_000usize;
-    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + i as u64, |a, b| a + b));
+    let total =
+        rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + black_box(i as u64), |a, b| a + b));
     assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
     let stats = rt.stats();
     assert!(
@@ -237,7 +239,8 @@ fn trace_records_scheduling_events() {
             .trace(true),
     );
     let n = 3_000_000usize;
-    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + i as u64, |a, b| a + b));
+    let total =
+        rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + black_box(i as u64), |a, b| a + b));
     assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
     let stats = rt.stats();
     let trace = rt.take_trace().expect("tracing was enabled");
@@ -264,7 +267,8 @@ fn per_worker_stats_sum_to_aggregate() {
     // field-wise sum of `per_worker_stats` equals `stats` exactly.
     let rt = rt(3, HeartbeatSource::LocalTimer, 50);
     let n = 4_000_000usize;
-    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + i as u64, |a, b| a + b));
+    let total =
+        rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + black_box(i as u64), |a, b| a + b));
     assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
 
     let agg = rt.stats();
@@ -305,7 +309,8 @@ fn report_per_worker_totals_match_counters() {
             .trace(true),
     );
     let n = 4_000_000usize;
-    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + i as u64, |a, b| a + b));
+    let total =
+        rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + black_box(i as u64), |a, b| a + b));
     assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
     let stats = rt.stats();
     let trace = rt.take_trace().expect("tracing enabled");

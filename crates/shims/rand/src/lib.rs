@@ -8,6 +8,15 @@
 //! property the workloads rely on — is preserved. The streams differ
 //! from upstream `rand`, which is fine: generated inputs only need to be
 //! reproducible, not bit-identical to some external reference.
+//!
+//! Beyond upstream's API, [`rngs::StdRng::skip`] jumps the stream ahead
+//! `n` draws in O(1). Workload inputs are pure functions of `(n, seed)`;
+//! the generators use `skip` to fill one seeded stream from several
+//! threads at once, each thread owning a fixed slice of draws, so an
+//! input comes out bit-identical at any thread count. Expected values
+//! are computed from those inputs by oracles: mergesort's is the
+//! standard library's sort, independent of the serial kernel it checks;
+//! the other workloads still use their serial kernel as the oracle.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -148,9 +157,23 @@ pub mod rngs {
         state: u64,
     }
 
+    /// The Weyl increment SplitMix64's state advances by per draw.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    impl StdRng {
+        /// Advances the stream past `n` draws in O(1), leaving the
+        /// generator exactly as if [`RngCore::next_u64`] had been called
+        /// `n` times and the results discarded: the state walks a
+        /// fixed-increment Weyl sequence, so skipping is one multiply-add.
+        #[inline]
+        pub fn skip(&mut self, n: u64) {
+            self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
+        }
+    }
+
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -178,6 +201,19 @@ mod tests {
         let mut b = StdRng::seed_from_u64(9);
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn skip_matches_discarded_draws() {
+        for n in [0u64, 1, 2, 7, 1000] {
+            let mut fast = StdRng::seed_from_u64(0xABCD);
+            let mut slow = StdRng::seed_from_u64(0xABCD);
+            fast.skip(n);
+            for _ in 0..n {
+                slow.next_u64();
+            }
+            assert_eq!(fast.next_u64(), slow.next_u64(), "after skipping {n}");
         }
     }
 

@@ -3,10 +3,77 @@
 //! distributions, and points for kmeans.
 //!
 //! Everything is generated from fixed seeds so that all four builds of a
-//! workload see identical inputs.
+//! workload see identical inputs: each input is a pure function of its
+//! size and seed. Generators that draw a fixed number of values per item
+//! fill their output in parallel through [`par_fill`], which gives every
+//! thread its own slice of one seeded stream by O(1) jump-ahead
+//! ([`StdRng::skip`]), so the result is bit-identical at any thread
+//! count. Generators whose draw count depends on the values drawn
+//! (`random_matrix`, `fw_graph`) stay serial loops.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Draws one integer `gen_range` consumes (the shim samples 128 bits).
+const INT_DRAWS: u64 = 2;
+/// Draws one `f64` `gen_range` consumes.
+const F64_DRAWS: u64 = 1;
+/// Below this many items a fill runs inline as a single chunk: starting
+/// threads would cost more than the draws.
+const PAR_FILL_MIN: usize = 1 << 15;
+
+/// Fills `out` from the stream of `StdRng::seed_from_u64(seed)`: item
+/// `i` is `item(rng)` with `rng` at draw `offset + i × draws_per_item`
+/// (`item` may use fewer draws, never more). The output is split into
+/// one chunk per available core, each filled on its own thread.
+fn par_fill<T: Send>(
+    out: &mut [T],
+    seed: u64,
+    offset: u64,
+    draws_per_item: u64,
+    item: impl Fn(&mut StdRng) -> T + Sync,
+) {
+    let chunks = if out.len() < PAR_FILL_MIN {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    };
+    fill_chunks(out, seed, offset, draws_per_item, chunks, &item);
+}
+
+/// [`par_fill`] over `chunks` chunks; the first is filled on the
+/// calling thread.
+fn fill_chunks<T: Send>(
+    out: &mut [T],
+    seed: u64,
+    offset: u64,
+    draws_per_item: u64,
+    chunks: usize,
+    item: &(impl Fn(&mut StdRng) -> T + Sync),
+) {
+    let mut stream = StdRng::seed_from_u64(seed);
+    stream.skip(offset);
+    let fill = |first: usize, part: &mut [T]| {
+        let mut rng = stream.clone();
+        rng.skip(first as u64 * draws_per_item);
+        for slot in part {
+            *slot = item(&mut rng.clone());
+            rng.skip(draws_per_item);
+        }
+    };
+    let len = out.len().div_ceil(chunks).max(1);
+    std::thread::scope(|s| {
+        let mut parts = out.chunks_mut(len);
+        let head = parts.next();
+        for (c, part) in parts.enumerate() {
+            let fill = &fill;
+            s.spawn(move || fill((c + 1) * len, part));
+        }
+        if let Some(part) = head {
+            fill(0, part);
+        }
+    });
+}
 
 /// A sparse matrix in compressed-sparse-row (CSR) form with integer
 /// values (exact arithmetic keeps checksums schedule-independent).
@@ -79,21 +146,22 @@ pub fn random_matrix(rows: usize, cols: usize, avg_nnz_per_row: usize, seed: u64
 /// irregularity that defeats uniform loop grains ("powerlaw", §4.1).
 pub fn powerlaw_matrix(rows: usize, cols: usize, total_nnz: usize, seed: u64) -> CsrMatrix {
     let alpha = 1.0f64;
-    let mut rng = StdRng::seed_from_u64(seed);
     let h: f64 = (1..=rows).map(|i| 1.0 / (i as f64).powf(alpha)).sum();
     let mut row_ptr = Vec::with_capacity(rows + 1);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
     row_ptr.push(0);
+    let mut nnz = 0;
     for i in 0..rows {
         let share = (total_nnz as f64 / h) / ((i + 1) as f64).powf(alpha);
-        let k = (share.round() as usize).clamp(1, cols);
-        for _ in 0..k {
-            col_idx.push(rng.gen_range(0..cols) as i64);
-            vals.push(small_val(&mut rng));
-        }
-        row_ptr.push(col_idx.len() as i64);
+        nnz += (share.round() as usize).clamp(1, cols);
+        row_ptr.push(nnz as i64);
     }
+    // Non-zero `j` draws its column, then its value.
+    let mut col_idx = vec![0; nnz];
+    let mut vals = vec![0; nnz];
+    par_fill(&mut col_idx, seed, 0, 2 * INT_DRAWS, |rng| {
+        rng.gen_range(0..cols) as i64
+    });
+    par_fill(&mut vals, seed, INT_DRAWS, 2 * INT_DRAWS, small_val);
     CsrMatrix {
         rows,
         cols,
@@ -107,25 +175,19 @@ pub fn powerlaw_matrix(rows: usize, cols: usize, total_nnz: usize, seed: u64) ->
 /// diagonal — "particularly challenging for task scheduling" (§4.1):
 /// one giant row followed by uniformly tiny ones.
 pub fn arrowhead_matrix(n: usize, seed: u64) -> CsrMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
+    let mut col_idx = Vec::with_capacity(3 * n);
     row_ptr.push(0);
     // Row 0: all columns.
-    for c in 0..n {
-        col_idx.push(c as i64);
-        vals.push(small_val(&mut rng));
-    }
+    col_idx.extend(0..n as i64);
     row_ptr.push(col_idx.len() as i64);
     // Rows 1..n: first column + diagonal.
     for r in 1..n {
-        col_idx.push(0);
-        vals.push(small_val(&mut rng));
-        col_idx.push(r as i64);
-        vals.push(small_val(&mut rng));
+        col_idx.extend([0, r as i64]);
         row_ptr.push(col_idx.len() as i64);
     }
+    let mut vals = vec![0; col_idx.len()];
+    par_fill(&mut vals, seed, 0, INT_DRAWS, small_val);
     CsrMatrix {
         rows: n,
         cols: n,
@@ -137,26 +199,29 @@ pub fn arrowhead_matrix(n: usize, seed: u64) -> CsrMatrix {
 
 /// A dense integer vector with entries in `[-8, 8]`.
 pub fn dense_vector(n: usize, seed: u64) -> Vec<i64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(-8i64..=8)).collect()
+    let mut v = vec![0; n];
+    par_fill(&mut v, seed, 0, INT_DRAWS, |rng| rng.gen_range(-8i64..=8));
+    v
 }
 
 /// Uniformly distributed integers (mergesort-uniform).
 pub fn uniform_ints(n: usize, seed: u64) -> Vec<i64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0..1_000_000_000i64)).collect()
+    let mut v = vec![0; n];
+    par_fill(&mut v, seed, 0, INT_DRAWS, |rng| {
+        rng.gen_range(0..1_000_000_000i64)
+    });
+    v
 }
 
 /// Exponentially distributed integers (mergesort-exp): many small
 /// values, a long tail — the paper's skewed input.
 pub fn exponential_ints(n: usize, seed: u64) -> Vec<i64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            (-u.ln() * 100_000.0) as i64
-        })
-        .collect()
+    let mut v = vec![0; n];
+    par_fill(&mut v, seed, 0, F64_DRAWS, |rng| {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        (-u.ln() * 100_000.0) as i64
+    });
+    v
 }
 
 /// Clustered integer points for kmeans: `n` points in `d` dimensions
@@ -164,11 +229,16 @@ pub fn exponential_ints(n: usize, seed: u64) -> Vec<i64> {
 pub fn kmeans_points(n: usize, d: usize, k: usize, seed: u64) -> Vec<i64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let centres: Vec<i64> = (0..k * d).map(|_| rng.gen_range(-1000i64..=1000)).collect();
-    let mut pts = Vec::with_capacity(n * d);
+    // Point `i` is centre `i % k` plus noise drawn after the centres.
+    let noise_from = (k * d) as u64 * INT_DRAWS;
+    let mut pts = vec![0; n * d];
+    par_fill(&mut pts, seed, noise_from, INT_DRAWS, |rng| {
+        rng.gen_range(-50i64..=50)
+    });
     for i in 0..n {
         let c = i % k;
         for j in 0..d {
-            pts.push(centres[c * d + j] + rng.gen_range(-50i64..=50));
+            pts[i * d + j] += centres[c * d + j];
         }
     }
     pts
@@ -199,6 +269,37 @@ pub const FW_INF: i64 = 1 << 40;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn draw_counts_match_the_shim() {
+        let mut drawn = StdRng::seed_from_u64(5);
+        let mut skipped = drawn.clone();
+        drawn.gen_range(-8i64..=8);
+        skipped.skip(INT_DRAWS);
+        assert_eq!(drawn.gen::<u64>(), skipped.gen::<u64>());
+        drawn.gen_range(f64::EPSILON..1.0);
+        skipped.skip(F64_DRAWS);
+        assert_eq!(drawn.gen::<u64>(), skipped.gen::<u64>());
+    }
+
+    #[test]
+    fn fill_is_the_same_at_any_chunk_count() {
+        let fill = |chunks| {
+            let mut v = vec![0i64; 1001];
+            fill_chunks(&mut v, 11, 3, 4, chunks, &|rng: &mut StdRng| {
+                rng.gen_range(0..1_000i64)
+            });
+            v
+        };
+        let one = fill(1);
+        for chunks in [2, 3, 7] {
+            assert_eq!(fill(chunks), one, "{chunks} chunks");
+        }
+        // Item `i` starts at draw `offset + i × draws_per_item`.
+        let mut rng = StdRng::seed_from_u64(11);
+        rng.skip(3 + 4 * 500);
+        assert_eq!(one[500], rng.gen_range(0..1_000i64));
+    }
 
     #[test]
     fn random_matrix_wellformed() {

@@ -50,7 +50,24 @@ fn bound(ins: &Instance, idx: usize, cap: i64, val: i64) -> i64 {
     val + (cap * ins.v[idx] + ins.w[idx] - 1) / ins.w[idx]
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Search-tree nodes visited on this thread, so tests can check that
+    /// the serial and parallel builds explore the same tree.
+    static NODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn visit() {
+    #[cfg(test)]
+    NODES.with(|n| n.set(n.get() + 1));
+}
+
+/// Tries including item `idx` before excluding it, the order the
+/// parallel build and the IR program fork in, so that with no
+/// promotions all builds search the same tree.
 fn serial_rec(ins: &Instance, idx: usize, cap: i64, val: i64, best: &mut i64) -> i64 {
+    visit();
     if idx == ins.w.len() {
         if val > *best {
             *best = val;
@@ -60,12 +77,12 @@ fn serial_rec(ins: &Instance, idx: usize, cap: i64, val: i64, best: &mut i64) ->
     if bound(ins, idx, cap, val) <= *best {
         return val;
     }
-    let mut r = serial_rec(ins, idx + 1, cap, val, best);
     if ins.w[idx] <= cap {
         let l = serial_rec(ins, idx + 1, cap - ins.w[idx], val + ins.v[idx], best);
-        r = r.max(l);
+        l.max(serial_rec(ins, idx + 1, cap, val, best))
+    } else {
+        serial_rec(ins, idx + 1, cap, val, best)
     }
-    r
 }
 
 fn parallel_rec(
@@ -77,6 +94,7 @@ fn parallel_rec(
     ctx: &WorkerCtx<'_>,
     eager: bool,
 ) -> i64 {
+    visit();
     if idx == ins.w.len() {
         best.fetch_max(val, Ordering::Relaxed);
         return val;
@@ -98,7 +116,10 @@ fn parallel_rec(
         };
         let run_r = |ctx: &WorkerCtx<'_>| parallel_rec(ins, idx + 1, cap, val, best, ctx, eager);
         let (l, r) = if eager {
-            cilk_spawn2(ctx, run_l, run_r)
+            // `cilk_spawn2` runs its continuation inline first, so the
+            // inclusion branch goes there to keep the include-first order.
+            let (r, l) = cilk_spawn2(ctx, run_r, run_l);
+            (l, r)
         } else {
             ctx.join2(run_l, run_r)
         };
@@ -281,6 +302,39 @@ mod tests {
             // v[k-1]/w[k-1] >= v[k]/w[k]  ⇔  v[k-1]·w[k] >= v[k]·w[k-1]
             assert!(ins.v[k - 1] * ins.w[k] >= ins.v[k] * ins.w[k - 1]);
         }
+    }
+
+    #[test]
+    fn serial_and_one_worker_parallel_builds_visit_the_same_nodes() {
+        let ins = instance(28, 0x6A5A);
+        let nodes = || NODES.with(|n| n.replace(0));
+        nodes();
+        let mut best = 0;
+        let serial = serial_rec(&ins, 0, ins.cap, 0, &mut best);
+        let serial_nodes = nodes();
+        let rt = tpal_rt::Runtime::new(
+            tpal_rt::RtConfig::default()
+                .workers(1)
+                .suppress_promotions(true),
+        );
+        let (parallel, parallel_nodes) = rt.run(|ctx| {
+            nodes();
+            let best = AtomicI64::new(0);
+            let r = parallel_rec(&ins, 0, ins.cap, 0, &best, ctx, false);
+            (r, nodes())
+        });
+        let cilk = tpal_cilk::CilkRuntime::new(1);
+        let (eager, eager_nodes) = cilk.run(|ctx| {
+            nodes();
+            let best = AtomicI64::new(0);
+            let r = parallel_rec(&ins, 0, ins.cap, 0, &best, ctx, true);
+            (r, nodes())
+        });
+        assert_eq!(parallel, serial);
+        assert_eq!(eager, serial);
+        assert!(serial_nodes > 1_000, "{serial_nodes} nodes");
+        assert_eq!(parallel_nodes, serial_nodes);
+        assert_eq!(eager_nodes, serial_nodes);
     }
 
     #[test]

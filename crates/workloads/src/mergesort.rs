@@ -75,6 +75,15 @@ fn checksum(a: &[i64]) -> i64 {
     h.wrapping_add(sorted.wrapping_mul(0x5AD))
 }
 
+/// The expected checksum of `data` sorted. The checksum of a sorted
+/// sequence does not depend on how it was sorted, so the oracle uses the
+/// standard library's sort rather than the serial build it checks.
+fn oracle(data: &[i64]) -> i64 {
+    let mut sorted = data.to_vec();
+    sorted.sort_unstable();
+    checksum(&sorted)
+}
+
 /// Parallel sort: recursion via the given fork-join, copy-back via the
 /// given parallel loop. The two halves touch disjoint index ranges of
 /// both buffers.
@@ -218,22 +227,14 @@ impl Workload for Mergesort {
     fn prepare(&self, scale: Scale) -> Box<dyn Prepared> {
         let n = scale.pick(600_000, 10_000_000);
         let data = self.input(n);
-        let mut a = data.clone();
-        let mut tmp = vec![0i64; n];
-        serial_sort(&mut a, &mut tmp, 0, n);
-        Box::new(PreparedSort {
-            data,
-            expected: checksum(&a),
-        })
+        let expected = oracle(&data);
+        Box::new(PreparedSort { data, expected })
     }
 
     fn sim_spec(&self, scale: Scale) -> SimSpec {
         let n = scale.pick(12_000, 60_000);
         let data = self.input(n);
-        let mut sorted = data.clone();
-        let mut tmp = vec![0i64; n];
-        serial_sort(&mut sorted, &mut tmp, 0, n);
-        let expected = checksum(&sorted);
+        let expected = oracle(&data);
         let v = Expr::var;
         let i = Expr::int;
 
@@ -380,6 +381,17 @@ mod tests {
         let n = a.len();
         serial_sort(&mut a, &mut tmp, 0, n);
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn oracle_agrees_with_serial_sort() {
+        for data in [uniform_ints(5_000, 7), exponential_ints(5_000, 8)] {
+            let mut a = data.clone();
+            let mut tmp = vec![0i64; a.len()];
+            let n = a.len();
+            serial_sort(&mut a, &mut tmp, 0, n);
+            assert_eq!(oracle(&data), checksum(&a));
+        }
     }
 
     #[test]
